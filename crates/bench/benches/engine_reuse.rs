@@ -1,9 +1,8 @@
 //! Criterion benchmark: what binding the `Engine` once actually buys.
 //!
-//! `fresh_prep_per_trial` replays the pre-`Engine` behaviour of
-//! `estimate_count`: every trial rebuilds the graph preprocessing (degree
-//! order plus an `O(m log m)` re-sort of every adjacency list) before
-//! counting. `reused_engine` runs the same trials through one bound
+//! `fresh_prep_per_trial` binds a fresh [`Engine`] for every trial, so each
+//! trial rebuilds the graph preprocessing (degree order plus an
+//! `O(m log m)` re-sort of every adjacency list) before counting. `reused_engine` runs the same trials through one bound
 //! [`Engine`], paying the preprocessing once per benchmark iteration. The
 //! gap between the two series is the amortization win of the bind-once API;
 //! it grows with the trial count.
@@ -11,11 +10,9 @@
 //! `sharded_engine` runs the same trials through the sharded rank-runtime
 //! (vertex-partitioned execution with partial-sum exchange) on the bound
 //! engine; the per-shard load summary printed after the group comes from
-//! the runtime's measured `ShardMetrics`, not the simulated-rank
-//! attribution.
+//! the runtime's measured `ShardMetrics`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use subgraph_counting::core::driver::count_colorful_fresh_prep;
 use subgraph_counting::core::{CountConfig, Engine};
 use subgraph_counting::gen::{chung_lu, power_law_degrees};
 use subgraph_counting::graph::Coloring;
@@ -35,7 +32,7 @@ fn bench_engine_reuse(c: &mut Criterion) {
     let graph = chung_lu(&degrees, 13);
     let query = catalog::triangle();
     let plan = heuristic_plan(&query).unwrap();
-    let config = CountConfig::default().with_ranks(16);
+    let config = CountConfig::default();
 
     for trials in [3usize, 10, 30] {
         group.bench_with_input(
@@ -47,7 +44,12 @@ fn bench_engine_reuse(c: &mut Criterion) {
                     for trial in 0..trials {
                         let coloring =
                             Coloring::random(graph.num_vertices(), query.num_nodes(), trial as u64);
-                        total += count_colorful_fresh_prep(&graph, &coloring, &plan, &config)
+                        total += Engine::new(&graph)
+                            .count(&query)
+                            .plan(&plan)
+                            .config(config)
+                            .coloring(&coloring)
+                            .run()
                             .unwrap()
                             .colorful_matches;
                     }
@@ -100,8 +102,7 @@ fn bench_engine_reuse(c: &mut Criterion) {
     group.finish();
 
     // Per-shard load summary (measured by the sharded runtime, one count):
-    // the Figure 11 quantities for the real shards, replacing the old
-    // simulated-rank accounting.
+    // the Figure 11 quantities for the real shards.
     let engine = Engine::new(&graph);
     let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 0);
     let result = engine

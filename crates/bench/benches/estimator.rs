@@ -34,7 +34,6 @@ fn bench_estimator(c: &mut Criterion) {
                     .count(&query)
                     .plan(&plan)
                     .algorithm(algorithm)
-                    .ranks(16)
                     .coloring(&coloring)
                     .run()
                     .unwrap()
@@ -54,7 +53,6 @@ fn bench_estimator(c: &mut Criterion) {
                 .count(&tree_query)
                 .plan(&tree_plan)
                 .algorithm(Algorithm::DegreeBased)
-                .ranks(16)
                 .coloring(&tree_coloring)
                 .run()
                 .unwrap()

@@ -32,7 +32,7 @@ fn bench_ps_vs_db(c: &mut Criterion) {
             let plan = heuristic_plan(&query).unwrap();
             let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 5);
             for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-                let config = CountConfig::new(algorithm).with_ranks(16);
+                let config = CountConfig::new(algorithm);
                 group.bench_with_input(
                     BenchmarkId::new(format!("{gname}/{qname}"), algorithm.short_name()),
                     &config,

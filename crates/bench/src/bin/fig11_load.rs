@@ -6,12 +6,11 @@
 //! wasted work) and a lower maximum load (better balance) than PS; the
 //! execution-time improvement correlates with the max-load improvement.
 //!
-//! Since the sharded rank-runtime landed, the loads reported here are the
-//! *measured* per-shard operation counts of real vertex-partitioned
-//! execution (`RunMetrics::shards`), not the simulated-rank attribution:
-//! each run is sharded over `SGC_SHARDS` worker shards (default: the
-//! hardware thread count) and the max/avg/imbalance columns summarize what
-//! each shard actually executed.
+//! The loads reported here are the *measured* per-shard operation counts
+//! of vertex-partitioned execution (`RunMetrics::shards`): each run is
+//! sharded over `SGC_SHARDS` worker shards (default: the hardware thread
+//! count) and the max/avg/imbalance columns summarize what each shard
+//! actually executed.
 
 use subgraph_counting::core::{Algorithm, Engine};
 

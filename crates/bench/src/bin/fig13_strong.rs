@@ -1,15 +1,14 @@
 //! Figure 13 (left) — strong scaling of the DB algorithm on the enron graph.
 //!
 //! The paper fixes the enron graph and sweeps 32..512 ranks, reporting
-//! speedup relative to the 32-rank baseline. Since the sharded rank-runtime
-//! landed, this experiment measures *real* scaling: the sweep is over shard
+//! speedup relative to the 32-rank baseline. This experiment measures
+//! *real* scaling: the sweep is over shard
 //! counts 1, 2, 4, ... up to the hardware limit, each run vertex-partitioned
 //! over that many worker shards with partial-sum exchange rounds between
 //! blocks, and speedup is reported relative to a single shard. Counts are
 //! asserted bit-identical across the sweep (the runtime's determinism
 //! contract), and the per-shard load imbalance at the widest sweep point is
-//! printed alongside (the paper's Figure 11 quantity, measured rather than
-//! simulated).
+//! printed alongside (the paper's Figure 11 quantity, measured).
 
 use subgraph_counting::core::{Algorithm, Engine};
 

@@ -32,7 +32,6 @@ fn main() {
                 let est = engine
                     .count(&bq.query)
                     .plan(&bq.plan)
-                    .ranks(simulated_ranks())
                     .trials(trials)
                     .seed(1000)
                     .estimate()

@@ -59,7 +59,7 @@ pub fn query_subset() -> &'static [&'static str] {
 
 /// Reads a positive integer from the environment, falling back to
 /// `default` when the variable is unset, unparsable or zero — the shared
-/// parse policy of every experiment knob (`SGC_RANKS`, `SGC_SHARDS`, the
+/// parse policy of every experiment knob (`SGC_SHARDS`, the
 /// `SGC_SERVICE_*` family).
 pub fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -76,11 +76,6 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|s| s.trim().parse::<u64>().ok())
         .unwrap_or(default)
-}
-
-/// Reads the number of simulated ranks from `SGC_RANKS` (default 64).
-pub fn simulated_ranks() -> usize {
-    env_usize("SGC_RANKS", 64)
 }
 
 /// Reads the shard count for sharded-runtime experiments from `SGC_SHARDS`
@@ -194,7 +189,6 @@ pub fn timed_count(
             .count(&plan.query)
             .plan(plan)
             .algorithm(algorithm)
-            .ranks(simulated_ranks())
             .coloring(&coloring)
             .run()
             .expect("benchmark graphs and catalog plans are always valid")
@@ -219,7 +213,6 @@ pub fn timed_count_with_engine(
             .count(&plan.query)
             .plan(plan)
             .algorithm(algorithm)
-            .ranks(simulated_ranks())
             .coloring(&coloring)
             .run()
             .expect("benchmark graphs and catalog plans are always valid")
@@ -231,9 +224,9 @@ pub fn timed_count_with_engine(
 /// `num_shards` shards on a pool of `num_shards` worker threads, timing only
 /// the counting (the engine is bound by the caller and amortized).
 ///
-/// This is what the Figure 13 scaling experiments measure since the sharded
-/// runtime landed: real vertex-partitioned execution with partial-sum
-/// exchange, not simulated ranks. The returned metrics carry
+/// This is what the Figure 13 scaling experiments measure: real
+/// vertex-partitioned execution with partial-sum exchange. The returned
+/// metrics carry
 /// `RunMetrics::shards` with the per-shard load and exchange accounting.
 pub fn timed_count_sharded(
     engine: &Engine<'_>,
@@ -250,7 +243,6 @@ pub fn timed_count_sharded(
             .count(&plan.query)
             .plan(plan)
             .algorithm(algorithm)
-            .ranks(simulated_ranks())
             .coloring(&coloring)
             .sharded(num_shards)
             .run()
@@ -274,14 +266,13 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
-/// Prints the standard experiment header (scale, thread counts, ranks).
+/// Prints the standard experiment header (scale, thread counts).
 pub fn print_header(title: &str) {
     println!("==== {title} ====");
     println!(
-        "scale = {} of the paper's graph sizes, threads = {}, simulated ranks = {}",
+        "scale = {} of the paper's graph sizes, threads = {}",
         experiment_scale(),
-        max_threads(),
-        simulated_ranks()
+        max_threads()
     );
     println!();
 }

@@ -28,13 +28,11 @@
 //! the property suite enforce this against the solo engine path.
 
 use crate::config::Algorithm;
-use crate::context::Context;
-use crate::driver::count_with_context;
+use crate::driver::{CountResult, Job};
 use crate::engine::{CountRequest, Engine, PlanRef};
 use crate::error::SgcError;
 use crate::estimator::{summarize_trials, Estimate};
 use crate::kernel::KernelKind;
-use crate::runtime::shard::{count_many_sharded, ShardedBatchJob};
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::Coloring;
@@ -74,9 +72,9 @@ pub struct BatchMetrics {
     /// Cells served by another cell's DP result (structurally identical
     /// query, same algorithm and effective seed).
     pub dp_shared: u64,
-    /// Shared exchange rounds synchronized on by the batch-aware sharded
-    /// runtime (zero for unsharded execution). Solo sharded runs of the
-    /// same cells would pay one round per block per DP run.
+    /// Exchange rounds the sharded batch synchronized on (zero when the
+    /// cells run one at a time as one-shard counts). Solo sharded runs of
+    /// the same cells would pay one round per block per DP run.
     pub exchange_rounds: u64,
     /// Wall-clock seconds for the whole batch.
     pub total_seconds: f64,
@@ -106,7 +104,6 @@ struct Member<'a> {
     kernel: KernelKind,
     seed: u64,
     trials: usize,
-    num_ranks: usize,
     /// Whether this member's cells record observability spans and publish
     /// run counters.
     obs: bool,
@@ -119,7 +116,7 @@ struct Member<'a> {
 
 /// One deduplicated DP execution of a trial step.
 struct StepJob {
-    /// Representative member (supplies plan, algorithm, ranks).
+    /// Representative member (supplies plan, algorithm, kernel).
     member: usize,
     /// Index into the step's shared coloring pool.
     coloring: usize,
@@ -145,9 +142,6 @@ pub(crate) fn execute<'g, 'a>(
         if request.trials == 0 {
             return Err(SgcError::ZeroTrials);
         }
-        if request.num_ranks == 0 {
-            return Err(SgcError::ZeroRanks);
-        }
         if let Some(s) = request.shards {
             if s == 0 {
                 return Err(SgcError::ZeroShards);
@@ -160,7 +154,6 @@ pub(crate) fn execute<'g, 'a>(
             kernel: request.kernel,
             seed: request.seed,
             trials: request.trials,
-            num_ranks: request.num_ranks,
             obs: request.obs,
             k: request.query.num_nodes(),
             group,
@@ -233,77 +226,47 @@ pub(crate) fn execute<'g, 'a>(
         metrics.dp_runs += step_jobs.len() as u64;
         metrics.dp_shared += (cells.len() - step_jobs.len()) as u64;
 
-        let outcomes: Vec<(Count, f64)> = match sharded {
+        let jobs: Vec<Job<'_>> = step_jobs
+            .iter()
+            .map(|job| {
+                let member = &members[job.member];
+                Job::new(
+                    &colorings[job.coloring],
+                    &member.plan,
+                    member.algorithm,
+                    member.kernel,
+                    member.obs,
+                )
+            })
+            .collect();
+        let outcomes: Vec<CountResult> = match sharded {
+            // One loop call for the whole step: its jobs share every
+            // block step's exchange round.
             Some(num_shards) => {
-                let jobs: Vec<ShardedBatchJob<'_>> = step_jobs
-                    .iter()
-                    .map(|job| ShardedBatchJob {
-                        coloring: &colorings[job.coloring],
-                        plan: &members[job.member].plan,
-                        algorithm: members[job.member].algorithm,
-                        num_ranks: members[job.member].num_ranks,
-                        kernel: members[job.member].kernel,
-                        obs: members[job.member].obs,
-                    })
-                    .collect();
-                let outcome = count_many_sharded(
-                    engine.graph(),
-                    engine.prep(),
-                    &jobs,
-                    num_shards,
-                    engine.arena_pool(),
-                )?;
+                let outcome = engine.execute(&jobs, num_shards)?;
                 metrics.exchange_rounds += outcome.shared_rounds;
-                for (job, result) in step_jobs.iter().zip(&outcome.results) {
-                    if members[job.member].obs && sgc_obs::enabled() {
-                        result.metrics.publish();
-                    }
-                }
-                outcome
-                    .results
-                    .into_iter()
-                    .map(|r| (r.colorful_matches, r.metrics.elapsed.as_secs_f64()))
-                    .collect()
+                outcome.jobs.into_iter().map(|o| o.result).collect()
             }
+            // Each cell is a one-job, one-shard count; parallel batches fan
+            // the cells out over the pool.
             None => {
-                let run = |j: usize| -> (Count, f64) {
-                    let job = &step_jobs[j];
-                    let member = &members[job.member];
-                    // Cells may run on worker threads that don't inherit the
-                    // submitter's obs state, so obs-off members re-suspend.
-                    let _pause = (!member.obs).then(sgc_obs::suspend);
-                    let ctx = Context::new(
-                        engine.graph(),
-                        engine.prep(),
-                        &colorings[job.coloring],
-                        member.num_ranks,
-                    )
-                    .expect("batch-drawn colorings always cover the graph");
-                    let result = count_with_context(
-                        &ctx,
-                        &member.plan,
-                        member.algorithm,
-                        member.kernel,
-                        engine.arena_pool(),
-                    );
-                    if member.obs && sgc_obs::enabled() {
-                        result.metrics.publish();
-                    }
-                    (
-                        result.colorful_matches,
-                        result.metrics.elapsed.as_secs_f64(),
-                    )
+                let run = |j: usize| {
+                    engine
+                        .execute(std::slice::from_ref(&jobs[j]), 1)
+                        .expect("batch-drawn colorings always cover the graph")
+                        .single()
+                        .result
                 };
                 if parallel {
-                    parallel_indexed(step_jobs.len(), run)
+                    parallel_indexed(jobs.len(), run)
                 } else {
-                    (0..step_jobs.len()).map(run).collect()
+                    (0..jobs.len()).map(run).collect()
                 }
             }
         };
         for (member, job) in cells {
-            per_trial[member].push(outcomes[job].0);
-            seconds[member] += outcomes[job].1;
+            per_trial[member].push(outcomes[job].colorful_matches);
+            seconds[member] += outcomes[job].metrics.elapsed.as_secs_f64();
         }
     }
 
@@ -564,13 +527,7 @@ mod tests {
                 .unwrap_err(),
             SgcError::ColoringWithEstimate
         );
-        // Zero ranks / zero shards.
-        assert_eq!(
-            engine
-                .count_batch(&[engine.count(&tri).ranks(0)])
-                .unwrap_err(),
-            SgcError::ZeroRanks
-        );
+        // Zero shards.
         assert_eq!(
             engine
                 .count_batch(&[engine.count(&tri).sharded(0)])

@@ -16,9 +16,7 @@ use crate::context::Context;
 use crate::metrics::RunMetrics;
 use crate::paths::{combine_extras, BlockJoinIndex, Field, PathBuilder};
 use sgc_engine::parallel::parallel_chunks;
-use sgc_engine::{
-    BinaryTable, Count, LoadStats, PathTable, ProjectionTable, Signature, UnaryTable,
-};
+use sgc_engine::{BinaryTable, Count, PathTable, ProjectionTable, Signature, UnaryTable};
 use sgc_graph::vertex::NO_VERTEX;
 use sgc_query::{Block, BlockKind, DecompositionTree, QueryNode};
 
@@ -209,12 +207,12 @@ fn merge_paths(
         let mut scalar: Count = 0;
         let mut unary = UnaryTable::new();
         let mut binary = BinaryTable::new();
-        let mut load = LoadStats::new(ctx.partition.num_ranks());
+        let mut ops: u64 = 0;
         for &(pkey, pcount) in chunk {
             let Some(list) = minus_grouped.get(&(pkey.start, pkey.end)) else {
                 continue;
             };
-            load.record_vertex(&ctx.partition, pkey.end, list.len() as u64);
+            ops += list.len() as u64;
             let shared = Signature::pair(ctx.color(pkey.start), ctx.color(pkey.end));
             for &(mkey, mcount) in list {
                 if pkey.sig.intersection(mkey.sig) != shared {
@@ -248,17 +246,17 @@ fn merge_paths(
                 }
             }
         }
-        (scalar, unary, binary, load)
+        (scalar, unary, binary, ops)
     });
 
     let mut scalar: Count = 0;
     let mut unary = UnaryTable::new();
     let mut binary = BinaryTable::new();
-    for (s, u, b, load) in partials {
+    for (s, u, b, ops) in partials {
         scalar += s;
         unary.merge(&u);
         binary.merge(&b);
-        metrics.absorb_load(&load);
+        metrics.total_ops += ops;
     }
     let table = match block.boundary.len() {
         0 => ProjectionTable::Scalar(scalar),
@@ -341,9 +339,9 @@ mod tests {
         let query = QueryGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
         let tree = decompose(&query).unwrap();
         let prep = crate::context::GraphPrep::new(&g);
-        let ctx = Context::new(&g, &prep, &coloring, 4).unwrap();
+        let ctx = Context::new(&g, &prep, &coloring).unwrap();
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let mut metrics = RunMetrics::new(4);
+            let mut metrics = RunMetrics::new();
             let table = solve_block(
                 &ctx,
                 &tree,
@@ -367,9 +365,9 @@ mod tests {
         let query = QueryGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
         let tree = decompose(&query).unwrap();
         let prep = crate::context::GraphPrep::new(&g);
-        let ctx = Context::new(&g, &prep, &coloring, 2).unwrap();
+        let ctx = Context::new(&g, &prep, &coloring).unwrap();
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let mut metrics = RunMetrics::new(2);
+            let mut metrics = RunMetrics::new();
             let table = solve_block(
                 &ctx,
                 &tree,

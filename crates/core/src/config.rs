@@ -36,10 +36,6 @@ impl std::fmt::Display for Algorithm {
 pub struct CountConfig {
     /// Cycle-solving algorithm.
     pub algorithm: Algorithm,
-    /// Number of simulated ranks used for load attribution (the paper uses
-    /// 32–512 MPI ranks; this only affects the reported load vectors, not the
-    /// result or the actual parallelism).
-    pub num_ranks: usize,
     /// Which join-kernel implementation runs the DP (default: columnar).
     /// Both kernels are bit-identical; this switch exists for differential
     /// testing and benchmarking.
@@ -52,23 +48,13 @@ pub struct CountConfig {
 }
 
 impl CountConfig {
-    /// Configuration for the given algorithm with the default rank count and
-    /// kernel.
+    /// Configuration for the given algorithm with the default kernel.
     pub fn new(algorithm: Algorithm) -> Self {
         CountConfig {
             algorithm,
-            num_ranks: 64,
             kernel: KernelKind::default(),
             obs: true,
         }
-    }
-
-    /// Sets the number of simulated ranks. A zero rank count is rejected at
-    /// run time with [`SgcError::ZeroRanks`](crate::SgcError::ZeroRanks)
-    /// rather than panicking here.
-    pub fn with_ranks(mut self, num_ranks: usize) -> Self {
-        self.num_ranks = num_ranks;
-        self
     }
 
     /// Selects the join kernel (scalar or columnar).
@@ -99,7 +85,6 @@ mod tests {
     fn default_is_degree_based() {
         let c = CountConfig::default();
         assert_eq!(c.algorithm, Algorithm::DegreeBased);
-        assert_eq!(c.num_ranks, 64);
         assert_eq!(c.kernel, KernelKind::Columnar);
         assert!(c.obs, "observability defaults to on");
     }
@@ -107,11 +92,9 @@ mod tests {
     #[test]
     fn builder_methods() {
         let c = CountConfig::new(Algorithm::PathSplitting)
-            .with_ranks(512)
             .with_kernel(KernelKind::Scalar)
             .with_obs(false);
         assert_eq!(c.algorithm, Algorithm::PathSplitting);
-        assert_eq!(c.num_ranks, 512);
         assert_eq!(c.kernel, KernelKind::Scalar);
         assert!(!c.obs);
     }
@@ -120,13 +103,5 @@ mod tests {
     fn display_names() {
         assert_eq!(Algorithm::PathSplitting.to_string(), "PS");
         assert_eq!(Algorithm::DegreeBased.to_string(), "DB");
-    }
-
-    #[test]
-    fn zero_ranks_is_deferred_to_run_time_validation() {
-        // Constructing the config is allowed; the engine rejects it with
-        // SgcError::ZeroRanks when a request runs (see engine::tests).
-        let c = CountConfig::default().with_ranks(0);
-        assert_eq!(c.num_ranks, 0);
     }
 }

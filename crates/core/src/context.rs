@@ -3,15 +3,15 @@
 //! The paper amortizes one expensive preprocessing pass over the data graph —
 //! the degree-based total order and the rank-sorted adjacency lists — across
 //! hundreds of random-coloring trials. That pass lives in [`GraphPrep`],
-//! built once per [`Engine`](crate::Engine) (or once per call in the
-//! deprecated free functions). [`Context`] then bundles a `GraphPrep` with
-//! the *per-trial* inputs — the coloring and the simulated rank partition —
-//! so that the algorithm code passes a single reference around.
+//! built once per [`Engine`](crate::Engine). [`Context`] then bundles a
+//! `GraphPrep` with the *per-trial* inputs — the coloring and, in a
+//! multi-shard run, the vertex shard being solved — so that the algorithm
+//! code passes a single reference around.
 
 use crate::error::SgcError;
 use crate::runtime::shard::VertexShard;
 use sgc_engine::Signature;
-use sgc_graph::{BlockPartition, Coloring, CsrGraph, DegreeOrder, VertexId};
+use sgc_graph::{Coloring, CsrGraph, DegreeOrder, VertexId};
 use std::cell::Cell;
 
 thread_local! {
@@ -82,14 +82,12 @@ impl GraphPrep {
 }
 
 /// Immutable state shared by every join of a counting run: the data graph,
-/// its reusable preprocessing, and the per-trial coloring and partition.
+/// its reusable preprocessing, the per-trial coloring and the shard scope.
 pub struct Context<'a> {
     /// The data graph.
     pub graph: &'a CsrGraph,
     /// The current random coloring (k colors, k = query size).
     pub coloring: &'a Coloring,
-    /// Simulated 1D block partition of vertices over ranks.
-    pub partition: BlockPartition,
     prep: &'a GraphPrep,
     /// When set, path construction only enumerates start vertices owned by
     /// this shard; the sharded runtime sums the resulting partial tables
@@ -98,68 +96,49 @@ pub struct Context<'a> {
 }
 
 impl<'a> Context<'a> {
-    /// Checks that `coloring` covers `graph` and that `num_ranks` is
-    /// positive — the validation shared by [`Context::new`] and the sharded
-    /// runtime (which validates once up front, then builds one context per
-    /// shard infallibly).
-    pub(crate) fn validate(
-        graph: &CsrGraph,
-        coloring: &Coloring,
-        num_ranks: usize,
-    ) -> Result<(), SgcError> {
+    /// Checks that `coloring` covers `graph` — the validation shared by
+    /// [`Context::new`] and the execution loop (which validates once up
+    /// front, then builds one context per shard infallibly).
+    pub(crate) fn validate(graph: &CsrGraph, coloring: &Coloring) -> Result<(), SgcError> {
         if coloring.num_vertices() != graph.num_vertices() {
             return Err(SgcError::ColoringSizeMismatch {
                 graph_vertices: graph.num_vertices(),
                 coloring_vertices: coloring.num_vertices(),
             });
         }
-        if num_ranks == 0 {
-            return Err(SgcError::ZeroRanks);
-        }
         Ok(())
     }
 
-    /// Builds a context for one run over `graph` with `coloring`, reusing the
-    /// preprocessing in `prep` and attributing load to `num_ranks` simulated
-    /// ranks.
+    /// Builds an unscoped context for one run over `graph` with `coloring`,
+    /// reusing the preprocessing in `prep`.
     ///
     /// # Errors
     /// [`SgcError::ColoringSizeMismatch`] if the coloring does not cover
-    /// every vertex of the graph; [`SgcError::ZeroRanks`] if `num_ranks` is
-    /// zero.
+    /// every vertex of the graph.
     pub fn new(
         graph: &'a CsrGraph,
         prep: &'a GraphPrep,
         coloring: &'a Coloring,
-        num_ranks: usize,
     ) -> Result<Self, SgcError> {
-        Context::validate(graph, coloring, num_ranks)?;
-        Ok(Context {
-            graph,
-            coloring,
-            partition: BlockPartition::new(graph.num_vertices(), num_ranks),
-            prep,
-            shard: None,
-        })
+        Context::validate(graph, coloring)?;
+        Ok(Context::scoped(graph, prep, coloring, None))
     }
 
-    /// Builds a context restricted to one vertex shard: path construction
-    /// enumerates only start vertices in `shard`'s owned range. Inputs must
-    /// already have passed [`Context::validate`].
-    pub(crate) fn for_shard(
+    /// Builds a context whose path construction enumerates only start
+    /// vertices in `shard`'s owned range (every vertex for `None`). Inputs
+    /// must already have passed [`Context::validate`].
+    pub(crate) fn scoped(
         graph: &'a CsrGraph,
         prep: &'a GraphPrep,
         coloring: &'a Coloring,
-        num_ranks: usize,
-        shard: VertexShard,
+        shard: Option<VertexShard>,
     ) -> Self {
-        debug_assert!(Context::validate(graph, coloring, num_ranks).is_ok());
+        debug_assert!(Context::validate(graph, coloring).is_ok());
         Context {
             graph,
             coloring,
-            partition: BlockPartition::new(graph.num_vertices(), num_ranks),
             prep,
-            shard: Some(shard),
+            shard,
         }
     }
 
@@ -254,13 +233,12 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let ctx = Context::new(&g, &prep, &col, 4).unwrap();
+        let ctx = Context::new(&g, &prep, &col).unwrap();
         assert_eq!(ctx.color(1), 1);
         assert_eq!(ctx.color_sig(2), Signature::singleton(2));
         assert_eq!(ctx.num_colors(), 3);
         // Vertex 1 and 2 have degree 2, higher than endpoints.
         assert!(ctx.order().higher(1, 0));
-        assert_eq!(ctx.partition.num_ranks(), 4);
     }
 
     #[test]
@@ -268,7 +246,7 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let ctx = Context::new(&g, &prep, &col, 2).unwrap();
+        let ctx = Context::new(&g, &prep, &col).unwrap();
         for v in g.vertices() {
             let ranked = ctx.neighbors_by_rank(v);
             assert_eq!(ranked.len(), g.degree(v));
@@ -296,7 +274,7 @@ mod tests {
         let prep = GraphPrep::new(&g);
         for seed in 0..5 {
             let col = Coloring::random(g.num_vertices(), 3, seed);
-            let ctx = Context::new(&g, &prep, &col, 2).unwrap();
+            let ctx = Context::new(&g, &prep, &col).unwrap();
             assert_eq!(ctx.num_colors(), 3);
         }
         assert_eq!(prep_build_count() - before, 1);
@@ -307,7 +285,7 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1], 2);
-        match Context::new(&g, &prep, &col, 2).err() {
+        match Context::new(&g, &prep, &col).err() {
             Some(SgcError::ColoringSizeMismatch {
                 graph_vertices,
                 coloring_vertices,
@@ -324,29 +302,18 @@ mod tests {
         let g = tiny();
         let prep = GraphPrep::new(&g);
         let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        let full = Context::new(&g, &prep, &col, 2).unwrap();
+        let full = Context::new(&g, &prep, &col).unwrap();
         assert_eq!(full.start_vertices(), 0..4);
         assert!((0..4u32).all(|v| full.owns_start(v)));
 
         let plan = crate::runtime::ShardPlan::new(g.num_vertices(), 2).unwrap();
-        let ctx0 = Context::for_shard(&g, &prep, &col, 2, plan.shard(0));
-        let ctx1 = Context::for_shard(&g, &prep, &col, 2, plan.shard(1));
+        let ctx0 = Context::scoped(&g, &prep, &col, Some(plan.shard(0)));
+        let ctx1 = Context::scoped(&g, &prep, &col, Some(plan.shard(1)));
         assert_eq!(ctx0.start_vertices(), 0..2);
         assert_eq!(ctx1.start_vertices(), 2..4);
         for v in 0..4u32 {
             assert_eq!(ctx0.owns_start(v), v < 2);
             assert_eq!(ctx1.owns_start(v), v >= 2);
         }
-    }
-
-    #[test]
-    fn zero_ranks_is_an_error() {
-        let g = tiny();
-        let prep = GraphPrep::new(&g);
-        let col = Coloring::from_colors(vec![0, 1, 2, 0], 3);
-        assert!(matches!(
-            Context::new(&g, &prep, &col, 0),
-            Err(SgcError::ZeroRanks)
-        ));
     }
 }

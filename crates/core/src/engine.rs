@@ -27,13 +27,12 @@
 //! ```
 
 use crate::config::{Algorithm, CountConfig};
-use crate::context::{Context, GraphPrep};
-use crate::driver::{count_with_context, CountResult};
+use crate::context::GraphPrep;
+use crate::driver::{execute, CountResult, Job, Outcome};
 use crate::error::SgcError;
 use crate::estimator::{summarize_trials, Estimate, EstimateConfig, TrialAccumulator};
 use crate::explain::PlanReport;
 use crate::kernel::{ArenaPool, KernelKind};
-use crate::runtime::shard::count_sharded;
 use sgc_engine::parallel::parallel_indexed;
 use sgc_engine::Count;
 use sgc_graph::{Coloring, CsrGraph};
@@ -124,9 +123,10 @@ impl<'g> Engine<'g> {
         }
     }
 
-    /// The engine's columnar-kernel arena pool.
-    pub(crate) fn arena_pool(&self) -> &ArenaPool {
-        &self.arena_pool
+    /// Runs `jobs` through the execution loop over `num_shards` shards of
+    /// this engine's graph, with its preprocessing and arena pool.
+    pub(crate) fn execute(&self, jobs: &[Job<'_>], num_shards: usize) -> Result<Outcome, SgcError> {
+        execute(&self.graph, &self.prep, jobs, num_shards, &self.arena_pool)
     }
 
     /// The bound data graph.
@@ -329,9 +329,8 @@ impl<'g> Engine<'g> {
     /// # Errors
     /// [`SgcError::EngineMismatch`] for a request built by another engine,
     /// [`SgcError::ColoringWithEstimate`] for an explicit coloring,
-    /// [`SgcError::ZeroTrials`] / [`SgcError::ZeroRanks`] /
-    /// [`SgcError::ZeroShards`] for zero trials, ranks or shards, plus the
-    /// planning errors of [`run`](CountRequest::run).
+    /// [`SgcError::ZeroTrials`] / [`SgcError::ZeroShards`] for zero trials
+    /// or shards, plus the planning errors of [`run`](CountRequest::run).
     pub fn count_batch<'a>(
         &self,
         requests: &[CountRequest<'_, 'g, 'a>],
@@ -345,7 +344,6 @@ impl<'g> Engine<'g> {
             engine: self,
             query,
             algorithm: self.default_config.algorithm,
-            num_ranks: self.default_config.num_ranks,
             kernel: self.default_config.kernel,
             coloring: None,
             plan: None,
@@ -385,7 +383,6 @@ pub struct CountRequest<'e, 'g, 'a> {
     pub(crate) engine: &'e Engine<'g>,
     pub(crate) query: Cow<'a, QueryGraph>,
     pub(crate) algorithm: Algorithm,
-    pub(crate) num_ranks: usize,
     pub(crate) kernel: KernelKind,
     pub(crate) coloring: Option<&'a Coloring>,
     pub(crate) plan: Option<&'a DecompositionTree>,
@@ -403,18 +400,10 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         self
     }
 
-    /// Sets the number of simulated ranks for load attribution (default: the
-    /// engine's). Zero is rejected at run time with [`SgcError::ZeroRanks`].
-    pub fn ranks(mut self, num_ranks: usize) -> Self {
-        self.num_ranks = num_ranks;
-        self
-    }
-
-    /// Applies a whole [`CountConfig`] (algorithm, ranks, kernel and
-    /// observability toggle) at once.
+    /// Applies a whole [`CountConfig`] (algorithm, kernel and observability
+    /// toggle) at once.
     pub fn config(mut self, config: CountConfig) -> Self {
         self.algorithm = config.algorithm;
-        self.num_ranks = config.num_ranks;
         self.kernel = config.kernel;
         self.obs = config.obs;
         self
@@ -477,13 +466,13 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         self
     }
 
-    /// Routes the request through the sharded rank-runtime: the data graph's
-    /// vertices are block-partitioned into `num_shards` shards, each shard
-    /// solves every block of the plan over the paths starting in its own
-    /// vertex range on a worker thread, and the per-shard partial-sum tables
-    /// are combined in an explicit exchange round per block
-    /// ([`runtime`](crate::runtime), mirroring the paper's rank model and
-    /// alltoall, Sections 5–7).
+    /// Runs the request over `num_shards` vertex shards (default: one): the
+    /// data graph's vertices are block-partitioned into `num_shards` shards,
+    /// each shard solves every block of the plan over the paths starting in
+    /// its own vertex range on a worker thread, and the per-shard
+    /// partial-sum tables are combined in an explicit exchange round per
+    /// block ([`runtime`](crate::runtime), mirroring the paper's rank model
+    /// and alltoall, Sections 5–7).
     ///
     /// The count is **bit-identical** to the unsharded path for every shard
     /// count ≥ 1; what changes is the execution (real per-shard parallelism)
@@ -552,9 +541,8 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     /// [`SgcError::Query`] for unplannable queries,
     /// [`SgcError::PlanQueryMismatch`] for a plan of a different query,
     /// [`SgcError::WrongColorCount`] / [`SgcError::ColoringSizeMismatch`]
-    /// for an unusable coloring, [`SgcError::ZeroRanks`] for a zero rank
-    /// count, and [`SgcError::ZeroShards`] for a sharded request with zero
-    /// shards.
+    /// for an unusable coloring, and [`SgcError::ZeroShards`] for a sharded
+    /// request with zero shards.
     pub fn run(self) -> Result<CountResult, SgcError> {
         // A disabled request suspends span recording on this thread for the
         // whole run (the sharded fan-out re-suspends on its workers).
@@ -578,39 +566,11 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
                 &fresh
             }
         };
-        let result = match self.shards {
-            Some(num_shards) => count_sharded(
-                self.engine.graph(),
-                &self.engine.prep,
-                coloring,
-                &plan,
-                self.algorithm,
-                self.num_ranks,
-                num_shards,
-                self.kernel,
-                self.engine.arena_pool(),
-                self.obs,
-            )?,
-            None => {
-                let ctx = Context::new(
-                    self.engine.graph(),
-                    &self.engine.prep,
-                    coloring,
-                    self.num_ranks,
-                )?;
-                count_with_context(
-                    &ctx,
-                    &plan,
-                    self.algorithm,
-                    self.kernel,
-                    self.engine.arena_pool(),
-                )
-            }
-        };
-        if self.obs {
-            result.metrics.publish();
-        }
-        Ok(result)
+        let job = Job::new(coloring, &plan, self.algorithm, self.kernel, self.obs);
+        let outcome = self
+            .engine
+            .execute(std::slice::from_ref(&job), self.shards.unwrap_or(1))?;
+        Ok(outcome.single().result)
     }
 
     /// Runs `trials` independent colorful counts (trial `i` colored with
@@ -722,14 +682,11 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
     ///
     /// # Errors
     /// [`SgcError::ColoringWithEstimate`] if an explicit coloring was set,
-    /// [`SgcError::ZeroRanks`] / [`SgcError::ZeroShards`] for zero ranks or
-    /// shards, plus the planning errors of [`run`](CountRequest::run).
+    /// [`SgcError::ZeroShards`] for zero shards, plus the planning errors of
+    /// [`run`](CountRequest::run).
     pub fn estimate_incremental(self) -> Result<TrialStream<'e, 'g, 'a>, SgcError> {
         if self.coloring.is_some() {
             return Err(SgcError::ColoringWithEstimate);
-        }
-        if self.num_ranks == 0 {
-            return Err(SgcError::ZeroRanks);
         }
         if self.shards == Some(0) {
             return Err(SgcError::ZeroShards);
@@ -741,14 +698,17 @@ impl<'e, 'g, 'a> CountRequest<'e, 'g, 'a> {
         // trial granularity (nested workers run their inner stages
         // sequentially), so sharding each trial would add exchange and
         // regrouping overhead without any added parallelism. Counts are
-        // bit-identical either way, so those requests take the unsharded
+        // bit-identical either way, so those requests take the one-shard
         // per-trial path.
-        let shards_per_trial = if self.parallel { None } else { self.shards };
+        let shards_per_trial = if self.parallel {
+            1
+        } else {
+            self.shards.unwrap_or(1)
+        };
         Ok(TrialStream {
             engine: self.engine,
             plan,
             algorithm: self.algorithm,
-            num_ranks: self.num_ranks,
             kernel: self.kernel,
             seed: self.seed,
             parallel: self.parallel,
@@ -776,11 +736,10 @@ pub struct TrialStream<'e, 'g, 'a> {
     engine: &'e Engine<'g>,
     plan: PlanRef<'a>,
     algorithm: Algorithm,
-    num_ranks: usize,
     kernel: KernelKind,
     seed: u64,
     parallel: bool,
-    shards_per_trial: Option<usize>,
+    shards_per_trial: usize,
     obs: bool,
     per_trial: Vec<Count>,
     acc: TrialAccumulator,
@@ -805,39 +764,28 @@ impl TrialStream<'_, '_, '_> {
         let _chunk_span = sgc_obs::span(sgc_obs::Stage::EstimatorChunk);
         let start = self.per_trial.len();
         let outcomes: Vec<(Count, f64)> = {
-            let graph = self.engine.graph();
-            let prep = &self.engine.prep;
+            let engine = self.engine;
             let plan: &DecompositionTree = &self.plan;
             let k = plan.query.num_nodes();
-            let seed = self.seed;
-            let algorithm = self.algorithm;
-            let num_ranks = self.num_ranks;
-            let kernel = self.kernel;
-            let pool = self.engine.arena_pool();
+            let (seed, algorithm, kernel, obs) = (self.seed, self.algorithm, self.kernel, self.obs);
             let shards_per_trial = self.shards_per_trial;
-            let obs = self.obs;
             let run_trial = move |offset: usize| -> (Count, f64) {
                 let _pause = (!obs).then(sgc_obs::suspend);
                 let trial = start + offset;
                 let coloring = {
                     let _span = sgc_obs::span(sgc_obs::Stage::Coloring);
-                    Coloring::random(graph.num_vertices(), k, seed.wrapping_add(trial as u64))
-                };
-                let result = match shards_per_trial {
-                    Some(num_shards) => count_sharded(
-                        graph, prep, &coloring, plan, algorithm, num_ranks, num_shards, kernel,
-                        pool, obs,
+                    Coloring::random(
+                        engine.graph().num_vertices(),
+                        k,
+                        seed.wrapping_add(trial as u64),
                     )
-                    .expect("engine-drawn colorings always cover the graph"),
-                    None => {
-                        let ctx = Context::new(graph, prep, &coloring, num_ranks)
-                            .expect("engine-drawn colorings always cover the graph");
-                        count_with_context(&ctx, plan, algorithm, kernel, pool)
-                    }
                 };
-                if obs && sgc_obs::enabled() {
-                    result.metrics.publish();
-                }
+                let job = Job::new(&coloring, plan, algorithm, kernel, obs);
+                let result = engine
+                    .execute(std::slice::from_ref(&job), shards_per_trial)
+                    .expect("engine-drawn colorings always cover the graph")
+                    .single()
+                    .result;
                 (
                     result.colorful_matches,
                     result.metrics.elapsed.as_secs_f64(),
@@ -1086,18 +1034,14 @@ mod tests {
             Err(SgcError::ColoringSizeMismatch { .. })
         ));
 
-        // Zero trials and zero ranks.
+        // Zero trials and zero shards.
         assert_eq!(
             engine.count(&triangle).trials(0).estimate().unwrap_err(),
             SgcError::ZeroTrials
         );
-        assert_eq!(
-            engine.count(&triangle).ranks(0).estimate().unwrap_err(),
-            SgcError::ZeroRanks
-        );
         assert!(matches!(
-            engine.count(&triangle).ranks(0).run(),
-            Err(SgcError::ZeroRanks)
+            engine.count(&triangle).sharded(0).run(),
+            Err(SgcError::ZeroShards)
         ));
 
         // Treewidth > 2 queries are rejected, not panicked on.
@@ -1199,10 +1143,10 @@ mod tests {
         assert_eq!(
             engine
                 .count(&catalog::triangle())
-                .ranks(0)
+                .sharded(0)
                 .estimate_incremental()
                 .err(),
-            Some(SgcError::ZeroRanks)
+            Some(SgcError::ZeroShards)
         );
         let coloring = Coloring::random(g.num_vertices(), 3, 0);
         assert_eq!(

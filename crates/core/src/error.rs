@@ -40,11 +40,8 @@ pub enum SgcError {
     /// silently produce `trials` copies of one measurement, so the
     /// combination is rejected (use `run()` for a single explicit coloring).
     ColoringWithEstimate,
-    /// A run was configured with zero simulated ranks.
-    ZeroRanks,
-    /// A sharded run was requested with zero shards. The sharded runtime
-    /// needs at least one vertex shard; use `sharded(1)` for a single-shard
-    /// run that still exercises the exchange path.
+    /// A sharded run was requested with zero shards. Every run needs at
+    /// least one vertex shard; an unsharded run is a one-shard run.
     ZeroShards,
     /// A batch contained a request created by a *different* engine. Batched
     /// requests share the executing engine's graph, preprocessing and plan
@@ -87,7 +84,6 @@ impl std::fmt::Display for SgcError {
                 f,
                 "estimate() draws its own per-trial colorings; use run() to count under an explicit coloring"
             ),
-            SgcError::ZeroRanks => write!(f, "at least one simulated rank is required"),
             SgcError::EngineMismatch => write!(
                 f,
                 "batched requests must all come from the engine executing the batch"
@@ -153,7 +149,6 @@ mod tests {
         .to_string()
         .contains("exactly 5"));
         assert!(SgcError::ZeroTrials.to_string().contains("trial"));
-        assert!(SgcError::ZeroRanks.to_string().contains("rank"));
         assert!(SgcError::ZeroShards.to_string().contains("shard"));
         assert!(SgcError::EngineMismatch.to_string().contains("engine"));
     }

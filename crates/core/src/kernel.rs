@@ -27,8 +27,7 @@ use crate::paths::{
 };
 use sgc_engine::columnar::{path_key, AddPipeline, KEY_FIELDS};
 use sgc_engine::{
-    BinaryTable, ColumnarTable, Count, EndpointGroups, LoadStats, ProjectionTable, Signature,
-    UnaryTable,
+    BinaryTable, ColumnarTable, Count, EndpointGroups, ProjectionTable, Signature, UnaryTable,
 };
 use sgc_graph::vertex::{VertexId, NO_VERTEX};
 use sgc_query::{Block, BlockKind, DecompositionTree, QueryNode};
@@ -408,7 +407,7 @@ fn initial_columnar(
 ) {
     let ctx = builder.ctx;
     out.reset();
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
+    let mut ops: u64 = 0;
     // Both tracked-extra slots are fixed for the whole join; resolve them
     // once instead of per emitted row.
     let from_slot = builder.slot_of(from_node);
@@ -423,7 +422,7 @@ fn initial_columnar(
                 } else {
                     ctx.graph.neighbors(u)
                 };
-                load.record_vertex(&ctx.partition, u, neighbors.len() as u64);
+                ops += neighbors.len() as u64;
                 for &w in neighbors {
                     let cw = ctx.color(w);
                     if cu == cw {
@@ -446,7 +445,7 @@ fn initial_columnar(
                  pipe: &mut AddPipeline,
                  u: VertexId,
                  list: &[(VertexId, Signature, Count)]| {
-                    load.record_vertex(&ctx.partition, u, list.len() as u64);
+                    ops += list.len() as u64;
                     for &(w, sig, count) in list {
                         if builder.high_start && !ctx.order().higher(u, w) {
                             continue;
@@ -475,7 +474,7 @@ fn initial_columnar(
         }
     }
     pipe.flush(out);
-    metrics.absorb_load(&load);
+    metrics.total_ops += ops;
     metrics.observe_table(out.len());
 }
 
@@ -491,7 +490,7 @@ fn node_join_columnar(
 ) {
     let ctx = builder.ctx;
     dst.reset();
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
+    let mut ops: u64 = 0;
     let mut pipe = AddPipeline::new();
     for (key, sig, count) in src.rows() {
         let x = match field {
@@ -499,7 +498,7 @@ fn node_join_columnar(
             Field::End => key[1],
         };
         let Some(list) = child.get(&x) else { continue };
-        load.record_vertex(&ctx.partition, x, list.len() as u64);
+        ops += list.len() as u64;
         let shared = ctx.color_sig(x);
         for &(sig2, count2) in list {
             if sig.intersection(sig2) != shared {
@@ -509,7 +508,7 @@ fn node_join_columnar(
         }
     }
     pipe.flush(dst);
-    metrics.absorb_load(&load);
+    metrics.total_ops += ops;
     metrics.observe_table(dst.len());
 }
 
@@ -527,7 +526,7 @@ fn edge_join_columnar(
     let ctx = builder.ctx;
     dst.reset();
     let realization = builder.edge_realization(edge_index, from_node, to_node);
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
+    let mut ops: u64 = 0;
     // The newly mapped node's extra slot is fixed for the whole join.
     let to_slot = builder.slot_of(to_node);
     let mut pipe = AddPipeline::new();
@@ -541,7 +540,7 @@ fn edge_join_columnar(
                 } else {
                     ctx.graph.neighbors(v)
                 };
-                load.record_vertex(&ctx.partition, v, neighbors.len() as u64);
+                ops += neighbors.len() as u64;
                 for &w in neighbors {
                     let cw = ctx.color(w);
                     if sig.contains(cw) {
@@ -559,7 +558,7 @@ fn edge_join_columnar(
                 let Some(list) = grouped.get(&v) else {
                     continue;
                 };
-                load.record_vertex(&ctx.partition, v, list.len() as u64);
+                ops += list.len() as u64;
                 for &(w, sig2, count2) in list {
                     if builder.high_start && !ctx.order().higher(key[0], w) {
                         continue;
@@ -578,7 +577,7 @@ fn edge_join_columnar(
         }
     }
     pipe.flush(dst);
-    metrics.absorb_load(&load);
+    metrics.total_ops += ops;
     metrics.observe_table(dst.len());
 }
 
@@ -602,8 +601,8 @@ fn merge_paths_columnar(
     // The merged pair set is symmetric in the two tables (pairs sharing
     // endpoints, counts multiplied), and grouping costs more per row than
     // streaming, so group the smaller table and stream the larger one over
-    // it. Load attribution is unaffected: every pair is attributed to the
-    // owner of the shared end vertex either way.
+    // it. The op count is unaffected: every pair is counted once either
+    // way.
     let (outer, inner) = if plus.len() <= minus.len() {
         (minus, plus)
     } else {
@@ -613,7 +612,7 @@ fn merge_paths_columnar(
     let boundary = block.boundary.as_slice();
     let start_slot = boundary.iter().position(|&b| b == start_node);
     let end_slot = boundary.iter().position(|&b| b == end_node);
-    let mut load = LoadStats::new(ctx.partition.num_ranks());
+    let mut ops: u64 = 0;
     match boundary.len() {
         // A boundary-free root cycle only ever needs the grand total:
         // accumulate it in a register (extras are never set in a
@@ -651,7 +650,7 @@ fn merge_paths_columnar(
                     }
                     total += ocount * g.count;
                 }
-                load.record_vertex(&ctx.partition, v, span.len() as u64);
+                ops += span.len() as u64;
             }
             proj.add([NO_VERTEX; KEY_FIELDS], Signature::empty(), total);
         }
@@ -704,12 +703,12 @@ fn merge_paths_columnar(
                         proj.add([extras[0], extras[1], NO_VERTEX, NO_VERTEX], sig, count);
                     }
                 }
-                load.record_vertex(&ctx.partition, v, span.len() as u64);
+                ops += span.len() as u64;
             }
         }
         _ => unreachable!(),
     }
-    metrics.absorb_load(&load);
+    metrics.total_ops += ops;
     metrics.observe_table(proj.len());
 }
 
@@ -763,10 +762,10 @@ mod tests {
         let query = QueryGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
         let tree = decompose(&query).unwrap();
         let prep = GraphPrep::new(&g);
-        let ctx = Context::new(&g, &prep, &coloring, 4).unwrap();
+        let ctx = Context::new(&g, &prep, &coloring).unwrap();
         let pool = ArenaPool::new();
         for algorithm in [Algorithm::PathSplitting, Algorithm::DegreeBased] {
-            let mut scalar_metrics = RunMetrics::new(4);
+            let mut scalar_metrics = RunMetrics::new();
             let expected = solve_block(
                 &ctx,
                 &tree,
@@ -776,7 +775,7 @@ mod tests {
                 &mut scalar_metrics,
             );
             let (mut arena, _) = pool.checkout();
-            let mut metrics = RunMetrics::new(4);
+            let mut metrics = RunMetrics::new();
             let index = BlockJoinIndex::build(&tree.blocks[0], &[None]);
             let got = solve_block_columnar(
                 &ctx,

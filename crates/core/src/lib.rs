@@ -9,9 +9,12 @@
 //!   and count only high-starting paths, Figures 5–7),
 //! * [`blocks`] — solving individual blocks (leaf edges and annotated cycles)
 //!   into projection tables, shared by both algorithms,
-//! * [`driver`] — bottom-up traversal of a decomposition tree producing the
-//!   number of colorful matches, plus run metrics (per-rank loads, operation
-//!   counts),
+//! * [`driver`] — the one execution loop: bottom-up traversal of a
+//!   decomposition tree over vertex shards with a partial-sum exchange per
+//!   block, producing the number of colorful matches plus run metrics
+//!   (operation counts, per-shard loads). Serial counts are one-shard runs,
+//!   solo counts are batches of one, and versioned counts retain and replay
+//!   per-shard partials through the same loop,
 //! * [`engine`] — the public front door: a long-lived [`Engine`] bound to a
 //!   data graph that amortizes the preprocessing across trials and queries,
 //!   caches decomposition plans, and reports typed [`SgcError`]s instead of
@@ -27,9 +30,10 @@
 //!   query or pattern string into a structured [`PlanReport`] (candidate
 //!   decompositions, Section 6 costs, predicted table bounds) before any
 //!   counting runs,
-//! * [`runtime`] — the sharded rank-runtime: vertex-partitioned execution
-//!   of the DP with explicit partial-sum exchange rounds, the shared-memory
-//!   realization of the paper's distributed rank model (Sections 5–7),
+//! * [`runtime`] — the rank model the loop runs on: vertex shards, the
+//!   explicit partial-sum exchange rounds and partial retention, the
+//!   shared-memory realization of the paper's distributed rank model
+//!   (Sections 5–7),
 //! * [`treelet`] — the linear-time tree-query dynamic program (the FASCIA
 //!   special case the paper builds on), used as an independent cross-check,
 //! * [`brute`] — exponential-time reference counters used as the correctness
@@ -66,11 +70,5 @@ pub use explain::{BlockReport, PlanCandidate, PlanReport, TreewidthVerdict};
 pub use kernel::{KernelKind, KernelMetrics};
 pub use metrics::{RunMetrics, ShardMetrics};
 pub use runtime::{
-    count_sharded_retaining, dirty_shards, recount_sharded_replay, IncrementalOutcome, ShardPlan,
-    TrialPartials, VertexShard,
+    count_incremental, dirty_shards, IncrementalOutcome, ShardPlan, TrialPartials, VertexShard,
 };
-
-#[allow(deprecated)]
-pub use driver::{count_colorful, count_colorful_with_tree};
-#[allow(deprecated)]
-pub use estimator::estimate_count;

@@ -1,41 +1,35 @@
-//! Run metrics: operation counts, per-rank loads, table sizes, timings.
+//! Run metrics: operation counts, per-shard loads, table sizes, timings.
 //!
 //! The paper's evaluation reports execution time (Figures 9, 10, 12, 13) and
 //! the per-processor load — "the number of projection function operations" —
-//! (Figure 11). [`RunMetrics`] collects both, plus table-size statistics
-//! useful for understanding memory behaviour.
-//!
-//! Sharded runs ([`CountRequest::sharded`](crate::CountRequest::sharded))
-//! additionally fill [`RunMetrics::shards`] with [`ShardMetrics`]: the
-//! operations each shard actually executed and the partial-sum entries it
-//! contributed to each exchange round — the measured (not simulated)
-//! counterpart of the paper's Figure 11 load analysis.
+//! (Figure 11). [`RunMetrics`] collects the operation total and table-size
+//! statistics useful for understanding memory behaviour; its
+//! [`ShardMetrics`] record what each vertex shard of the run actually
+//! executed and contributed to each exchange round — the measured
+//! counterpart of the paper's Figure 11 load analysis. A serial run is a
+//! one-shard run and reports one shard.
 
 use crate::kernel::KernelMetrics;
-use sgc_engine::LoadStats;
 use std::time::Duration;
 
 /// Metrics accumulated over a single colorful-counting run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RunMetrics {
-    /// Per-rank operation counts (projection function operations attributed
-    /// to the simulated owner rank).
-    pub load: LoadStats,
-    /// Total operations across all ranks (equals `load.total()`, cached for
-    /// convenience).
+    /// Projection function operations executed across all shards.
     pub total_ops: u64,
     /// Largest number of entries held by any single working table during the
     /// run — a proxy for peak memory.
     pub peak_table_entries: usize,
-    /// Total table entries produced across all joins. Shard-dependent in
-    /// sharded runs: per-shard partial tables and the exchanged block
-    /// tables each count as produced entries (the same projection key may
-    /// appear in several shards' partials), mirroring the entry duplication
-    /// a distributed run really pays.
+    /// Total table entries produced across all joins. Shard-dependent:
+    /// per-shard partial tables and, with more than one shard, the
+    /// exchanged block tables each count as produced entries (the same
+    /// projection key may appear in several shards' partials), mirroring
+    /// the entry duplication a distributed run really pays.
     pub entries_created: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
-    /// Per-shard execution metrics — `Some` only for sharded runs.
+    /// Per-shard execution metrics (one shard for a serial run). `None`
+    /// only in metrics that did not come from a run.
     pub shards: Option<ShardMetrics>,
     /// Arena accounting of the columnar kernel (all-zero under the scalar
     /// kernel, which allocates per join instead of from an arena).
@@ -44,12 +38,10 @@ pub struct RunMetrics {
 
 /// Per-shard execution metrics of one sharded run.
 ///
-/// Where [`RunMetrics::load`] *attributes* operations to simulated ranks by
-/// key ownership (reproducing the paper's Figure 11 accounting), this struct
-/// records what each shard of the real runtime *did*: the projection
-/// operations it executed and the partial-sum table entries it handed to the
-/// exchange step (the shared-memory analog of the paper's alltoall message
-/// volume, Section 7).
+/// Records what each shard of the runtime *did*: the projection operations
+/// it executed (the paper's Figure 11 per-processor load) and the
+/// partial-sum table entries it handed to the exchange step (the
+/// shared-memory analog of the paper's alltoall message volume, Section 7).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
     /// Projection operations executed by each shard, summed over all blocks.
@@ -110,35 +102,19 @@ impl ShardMetrics {
 }
 
 impl RunMetrics {
-    /// Creates empty metrics for `num_ranks` simulated ranks.
-    pub fn new(num_ranks: usize) -> Self {
-        RunMetrics {
-            load: LoadStats::new(num_ranks),
-            total_ops: 0,
-            peak_table_entries: 0,
-            entries_created: 0,
-            elapsed: Duration::ZERO,
-            shards: None,
-            kernel: KernelMetrics::default(),
-        }
+    /// Creates empty metrics.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Folds the metrics of one shard's partial solve into this run's
-    /// totals: simulated-rank loads add up, peak table sizes take the max,
-    /// and created-entry counts accumulate. Used by the sharded runtime,
-    /// whose per-shard solves each carry their own `RunMetrics`.
+    /// totals: operation counts add up, peak table sizes take the max, and
+    /// created-entry counts accumulate.
     pub fn absorb_shard(&mut self, shard: &RunMetrics) {
-        self.load.merge(&shard.load);
-        self.total_ops = self.load.total();
+        self.total_ops += shard.total_ops;
         self.peak_table_entries = self.peak_table_entries.max(shard.peak_table_entries);
         self.entries_created += shard.entries_created;
         self.kernel.absorb(&shard.kernel);
-    }
-
-    /// Merges a partial load vector produced by one join into the totals.
-    pub fn absorb_load(&mut self, partial: &LoadStats) {
-        self.load.merge(partial);
-        self.total_ops = self.load.total();
     }
 
     /// Records the size of a freshly produced table.
@@ -147,20 +123,10 @@ impl RunMetrics {
         self.entries_created += entries as u64;
     }
 
-    /// Maximum per-rank load (Figure 11's "max load").
-    pub fn max_load(&self) -> u64 {
-        self.load.max()
-    }
-
-    /// Average per-rank load (Figure 11's "avg load").
-    pub fn avg_load(&self) -> f64 {
-        self.load.average()
-    }
-
     /// Publishes this run's counters into the process-wide `sgc-obs`
-    /// registry: run/kernel counters always, shard counters when the run
-    /// was sharded. Called at run granularity by the engine (never inside
-    /// the DP), and only when observability is enabled for the run.
+    /// registry: run, kernel and shard counters. Called once per run by the
+    /// execution loop (never inside the DP), and only when observability is
+    /// enabled for the run.
     pub fn publish(&self) {
         let registry = sgc_obs::global();
         registry.counter_add("engine_runs", 1);
@@ -184,15 +150,10 @@ mod tests {
 
     #[test]
     fn absorb_and_observe() {
-        let mut m = RunMetrics::new(4);
-        let mut l = LoadStats::new(4);
-        l.record(1, 10);
-        l.record(2, 4);
-        m.absorb_load(&l);
-        m.absorb_load(&l);
+        let mut m = RunMetrics::new();
+        m.total_ops += 14;
+        m.total_ops += 14;
         assert_eq!(m.total_ops, 28);
-        assert_eq!(m.max_load(), 20);
-        assert!((m.avg_load() - 7.0).abs() < 1e-12);
 
         m.observe_table(100);
         m.observe_table(40);
@@ -202,9 +163,8 @@ mod tests {
 
     #[test]
     fn new_metrics_are_zeroed() {
-        let m = RunMetrics::new(8);
+        let m = RunMetrics::new();
         assert_eq!(m.total_ops, 0);
-        assert_eq!(m.max_load(), 0);
         assert_eq!(m.peak_table_entries, 0);
         assert_eq!(m.elapsed, Duration::ZERO);
         assert!(m.shards.is_none());
@@ -213,21 +173,16 @@ mod tests {
 
     #[test]
     fn absorb_shard_merges_loads_and_maxes_peaks() {
-        let mut total = RunMetrics::new(2);
-        let mut a = RunMetrics::new(2);
-        let mut la = LoadStats::new(2);
-        la.record(0, 5);
-        a.absorb_load(&la);
+        let mut total = RunMetrics::new();
+        let mut a = RunMetrics::new();
+        a.total_ops = 5;
         a.observe_table(10);
-        let mut b = RunMetrics::new(2);
-        let mut lb = LoadStats::new(2);
-        lb.record(1, 7);
-        b.absorb_load(&lb);
+        let mut b = RunMetrics::new();
+        b.total_ops = 7;
         b.observe_table(4);
         total.absorb_shard(&a);
         total.absorb_shard(&b);
         assert_eq!(total.total_ops, 12);
-        assert_eq!(total.load.per_rank(), &[5, 7]);
         assert_eq!(total.peak_table_entries, 10);
         assert_eq!(total.entries_created, 14);
     }

@@ -18,15 +18,14 @@
 //! tables dramatically on skewed graphs.
 //!
 //! All joins are data-parallel over the current table's entries (rayon), and
-//! every examined candidate is attributed to the simulated rank owning the
-//! vertex at which the paper's distributed engine would have performed the
-//! operation.
+//! every examined candidate counts as one projection operation in the run's
+//! `total_ops`.
 
 use crate::context::Context;
 use crate::metrics::RunMetrics;
 use sgc_engine::hash::FastMap;
 use sgc_engine::parallel::{pairwise_reduce, parallel_chunks};
-use sgc_engine::{Count, LoadStats, PathKey, PathTable, ProjectionTable, Signature};
+use sgc_engine::{Count, PathKey, PathTable, ProjectionTable, Signature};
 use sgc_graph::vertex::NO_VERTEX;
 use sgc_graph::VertexId;
 use sgc_query::{Block, DecompositionTree, QueryNode};
@@ -309,7 +308,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
     ) -> PathTable {
         let ctx = self.ctx;
         let mut table = PathTable::new();
-        let mut load = LoadStats::new(ctx.partition.num_ranks());
+        let mut ops: u64 = 0;
         match self.edge_realization(edge_index, from_node, to_node) {
             EdgeRealization::Graph => {
                 // In a sharded context this range is the shard's owned
@@ -326,7 +325,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                     } else {
                         ctx.graph.neighbors(u)
                     };
-                    load.record_vertex(&ctx.partition, u, neighbors.len() as u64);
+                    ops += neighbors.len() as u64;
                     for &w in neighbors {
                         let cw = ctx.color(w);
                         if cu == cw {
@@ -346,7 +345,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                 // exactly like the range restriction above. The grouped map
                 // itself is shared (block index), not rebuilt per shard.
                 let mut seed_group = |u: VertexId, list: &[(VertexId, Signature, Count)]| {
-                    load.record_vertex(&ctx.partition, u, list.len() as u64);
+                    ops += list.len() as u64;
                     for &(w, sig, count) in list {
                         if self.high_start && !ctx.order().higher(u, w) {
                             continue;
@@ -374,7 +373,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                 }
             }
         }
-        metrics.absorb_load(&load);
+        metrics.total_ops += ops;
         metrics.observe_table(table.len());
         table
     }
@@ -392,14 +391,14 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
         let entries = table.into_entries();
         let partials = parallel_chunks(&entries, |chunk| {
             let mut out = PathTable::new();
-            let mut load = LoadStats::new(ctx.partition.num_ranks());
+            let mut ops: u64 = 0;
             for &(key, count) in chunk {
                 let x = match field {
                     Field::Start => key.start,
                     Field::End => key.end,
                 };
                 let Some(list) = child.get(&x) else { continue };
-                load.record_vertex(&ctx.partition, x, list.len() as u64);
+                ops += list.len() as u64;
                 let shared = ctx.color_sig(x);
                 for &(sig2, count2) in list {
                     if key.sig.intersection(sig2) != shared {
@@ -410,7 +409,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                     out.add(new_key, count * count2);
                 }
             }
-            (out, load)
+            (out, ops)
         });
         self.merge_partials(partials, metrics)
     }
@@ -430,7 +429,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
         let entries = table.into_entries();
         let partials = parallel_chunks(&entries, |chunk| {
             let mut out = PathTable::new();
-            let mut load = LoadStats::new(ctx.partition.num_ranks());
+            let mut ops: u64 = 0;
             for &(key, count) in chunk {
                 let v = key.end;
                 let shared = ctx.color_sig(v);
@@ -441,7 +440,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                         } else {
                             ctx.graph.neighbors(v)
                         };
-                        load.record_vertex(&ctx.partition, v, neighbors.len() as u64);
+                        ops += neighbors.len() as u64;
                         for &w in neighbors {
                             let cw = ctx.color(w);
                             if key.sig.contains(cw) {
@@ -458,7 +457,7 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                         let Some(list) = grouped.get(&v) else {
                             continue;
                         };
-                        load.record_vertex(&ctx.partition, v, list.len() as u64);
+                        ops += list.len() as u64;
                         for &(w, sig2, count2) in list {
                             if self.high_start && !ctx.order().higher(key.start, w) {
                                 continue;
@@ -475,22 +474,22 @@ impl<'a, 'b> PathBuilder<'a, 'b> {
                     }
                 }
             }
-            (out, load)
+            (out, ops)
         });
         self.merge_partials(partials, metrics)
     }
 
     fn merge_partials(
         &self,
-        partials: Vec<(PathTable, LoadStats)>,
+        partials: Vec<(PathTable, u64)>,
         metrics: &mut RunMetrics,
     ) -> PathTable {
-        // Loads are tiny vectors — absorb them sequentially. The tables can be
-        // large, so merge them with a parallel pairwise reduction to keep the
-        // serial fraction of each join small.
+        // Op counts add up sequentially. The tables can be large, so merge
+        // them with a parallel pairwise reduction to keep the serial
+        // fraction of each join small.
         let mut tables = Vec::with_capacity(partials.len());
-        for (table, load) in partials {
-            metrics.absorb_load(&load);
+        for (table, ops) in partials {
+            metrics.total_ops += ops;
             tables.push(table);
         }
         let merged = pairwise_reduce(tables, |mut first, second| {

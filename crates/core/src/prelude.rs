@@ -20,8 +20,3 @@ pub use sgc_graph::{Coloring, CsrGraph, GraphBuilder, VertexId};
 pub use sgc_query::{
     decompose, heuristic_plan, DecompositionTree, Pattern, PatternParseError, QueryGraph, Registry,
 };
-
-#[allow(deprecated)]
-pub use crate::driver::{count_colorful, count_colorful_with_tree};
-#[allow(deprecated)]
-pub use crate::estimator::estimate_count;

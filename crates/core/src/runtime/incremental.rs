@@ -1,6 +1,6 @@
 //! Delta-aware sharded counting: partial-sum retention and replay.
 //!
-//! The sharded solver ([`count_many_sharded`](super::shard)) computes, for
+//! The execution loop ([`driver::execute`](crate::driver)) computes, for
 //! every block step, one **pre-exchange partial table per shard**, then
 //! combines them in an exchange round. Those partials are the unit of
 //! incremental recomputation: a trial's coloring depends only on
@@ -8,13 +8,12 @@
 //! of any shard whose vertices are far enough from every changed edge is
 //! **bit-identical** on the new graph — there is no reason to re-solve it.
 //!
-//! This module provides the two halves of that trade:
-//!
-//! * [`count_sharded_retaining`] — a from-scratch sharded count that clones
-//!   each shard's pre-exchange partial into a [`TrialPartials`] record,
-//! * [`recount_sharded_replay`] — the same count on a *new* graph version,
-//!   re-solving only the shards marked dirty and replaying every clean
-//!   shard's cached partial (under the `dp.recount.replay` span).
+//! [`count_incremental`] is that trade: a sharded count that clones each
+//! shard's pre-exchange partial into a [`TrialPartials`] record and, given
+//! the partials of the parent version, re-solves only the shards marked
+//! dirty and replays every clean shard's cached partial (under the
+//! `dp.recount.replay` span). A from-scratch count is the same call with
+//! nothing to replay.
 //!
 //! [`dirty_shards`] computes a sound dirty set: a shard is dirty iff it
 //! owns a vertex within graph distance `2k` of an endpoint of a changed
@@ -46,20 +45,15 @@
 //! run on the new graph. The differential suite in `tests/dynamic.rs` pins
 //! this end to end.
 
-use crate::blocks::solve_block_with_index;
 use crate::config::Algorithm;
-use crate::context::{Context, GraphPrep};
+use crate::context::GraphPrep;
+use crate::driver::{execute, Job};
 use crate::error::SgcError;
-use crate::kernel::{solve_block_columnar, ArenaPool, KernelKind};
-use crate::metrics::{RunMetrics, ShardMetrics};
-use crate::paths::BlockJoinIndex;
-use crate::runtime::exchange;
-use crate::runtime::shard::ShardPlan;
-use sgc_engine::parallel::parallel_indexed;
+use crate::kernel::{ArenaPool, KernelKind};
+use crate::metrics::RunMetrics;
 use sgc_engine::{Count, ProjectionTable};
 use sgc_graph::{BlockPartition, Coloring, CsrGraph, VertexId};
 use sgc_query::DecompositionTree;
-use std::time::Instant;
 
 /// The retained pre-exchange partials of one `(coloring, plan, shards)`
 /// trial: for every block step, every shard's partial table as produced
@@ -69,10 +63,10 @@ use std::time::Instant;
 /// [`approx_bytes`](TrialPartials::approx_bytes).
 #[derive(Clone, Debug)]
 pub struct TrialPartials {
-    num_shards: usize,
+    pub(crate) num_shards: usize,
     /// `steps[step][shard]`: the shard's pre-exchange partial for the block
     /// solved at `step` (single-node plans have exactly one scalar step).
-    steps: Vec<Vec<ProjectionTable>>,
+    pub(crate) steps: Vec<Vec<ProjectionTable>>,
 }
 
 impl TrialPartials {
@@ -99,11 +93,10 @@ impl TrialPartials {
     }
 }
 
-/// What an incremental-capable sharded count produced.
+/// What [`count_incremental`] produced.
 pub struct IncrementalOutcome {
-    /// The trial's exact colorful count — bit-identical to the serial
-    /// driver and to [`count_many_sharded`](super::shard) on the same
-    /// graph.
+    /// The trial's exact colorful count — bit-identical to a count at any
+    /// shard count on the same graph.
     pub colorful_matches: Count,
     /// The pre-exchange partials, ready to be retained for later replay.
     pub partials: TrialPartials,
@@ -164,77 +157,26 @@ pub fn dirty_shards(
     Ok(dirty)
 }
 
-/// A from-scratch sharded count that retains every shard's pre-exchange
-/// partial table. Identical in result to the plain sharded runtime; the
-/// extra cost is one clone of each partial.
-#[allow(clippy::too_many_arguments)]
-pub fn count_sharded_retaining(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    num_shards: usize,
-    kernel: KernelKind,
-    pool: &ArenaPool,
-) -> Result<IncrementalOutcome, SgcError> {
-    run_incremental(
-        graph, prep, coloring, tree, algorithm, num_shards, kernel, pool, None,
-    )
-}
-
-/// Re-counts on a **new** graph version, re-solving only the shards
-/// flagged in `dirty` and replaying every other shard's partial from
-/// `cached` — bit-identical to a from-scratch count on `graph` as long as
-/// `dirty` covers at least [`dirty_shards`] of the applied delta and
-/// `cached` came from the parent version with the same
-/// `(coloring, tree, algorithm, num_shards)`.
+/// Counts `tree` under `coloring` over `num_shards` shards, retaining every
+/// shard's pre-exchange partial. With `replay = Some((dirty, cached))` it
+/// re-solves only the shards flagged in `dirty` and replays every other
+/// shard's partial from `cached` — bit-identical to a from-scratch count on
+/// `graph` as long as `dirty` covers at least [`dirty_shards`] of the
+/// applied delta and `cached` came from the parent version with the same
+/// `(coloring, tree, algorithm, num_shards)`. The extra cost over a plain
+/// count is one clone of each partial.
+///
+/// # Errors
+/// [`SgcError::ZeroShards`] for zero shards and
+/// [`SgcError::ColoringSizeMismatch`] for a coloring that does not cover
+/// `graph`.
 ///
 /// # Panics
 /// If `cached` was produced with a different shard count or step count
 /// (the caller keys its partial store by shard count, so a mismatch is a
 /// bookkeeping bug, not an input error).
 #[allow(clippy::too_many_arguments)]
-pub fn recount_sharded_replay(
-    graph: &CsrGraph,
-    prep: &GraphPrep,
-    coloring: &Coloring,
-    tree: &DecompositionTree,
-    algorithm: Algorithm,
-    num_shards: usize,
-    kernel: KernelKind,
-    pool: &ArenaPool,
-    dirty: &[bool],
-    cached: &TrialPartials,
-) -> Result<IncrementalOutcome, SgcError> {
-    assert_eq!(
-        cached.num_shards, num_shards,
-        "cached partials were produced with a different shard count"
-    );
-    assert_eq!(
-        cached.num_steps(),
-        tree.blocks.len().max(1),
-        "cached partials were produced with a different plan"
-    );
-    assert_eq!(dirty.len(), num_shards, "one dirty flag per shard");
-    run_incremental(
-        graph,
-        prep,
-        coloring,
-        tree,
-        algorithm,
-        num_shards,
-        kernel,
-        pool,
-        Some((dirty, cached)),
-    )
-}
-
-/// The shared body: a single-job sharded solve loop mirroring
-/// [`count_many_sharded`](super::shard), with partial retention and
-/// (optionally) clean-shard replay.
-#[allow(clippy::too_many_arguments)]
-fn run_incremental(
+pub fn count_incremental(
     graph: &CsrGraph,
     prep: &GraphPrep,
     coloring: &Coloring,
@@ -245,132 +187,29 @@ fn run_incremental(
     pool: &ArenaPool,
     replay: Option<(&[bool], &TrialPartials)>,
 ) -> Result<IncrementalOutcome, SgcError> {
-    let num_ranks = 1;
-    let plan = ShardPlan::new(graph.num_vertices(), num_shards)?;
-    Context::validate(graph, coloring, num_ranks)?;
-    let obs = sgc_obs::enabled();
-
-    let mut metrics = RunMetrics::new(num_ranks);
-    let mut shard_metrics = ShardMetrics::new(num_shards);
-    let mut tables: Vec<Option<ProjectionTable>> = vec![None; tree.blocks.len()];
-    let mut single_total: Option<Count> = None;
-    let mut retained: Vec<Vec<ProjectionTable>> = Vec::new();
-    let mut shards_replayed = 0usize;
-    let started = Instant::now();
-
-    let steps = tree.blocks.len().max(1);
-    for step in 0..steps {
-        let index = tree
-            .root
-            .is_some()
-            .then(|| BlockJoinIndex::build(&tree.blocks[step], &tables));
-        let partials: Vec<(ProjectionTable, RunMetrics, bool)> =
-            parallel_indexed(num_shards, |s| {
-                // Worker threads do not inherit the submitting thread's
-                // suspension state; mirror it so per-request obs opt-out
-                // holds across the fan-out.
-                let _pause = (!obs).then(sgc_obs::suspend);
-                let mut shard_run = RunMetrics::new(num_ranks);
-                let solve_started = Instant::now();
-                // Clean shard with a cached partial: replay it.
-                if let Some((dirty, cached)) = replay {
-                    if !dirty[s] {
-                        let _span = sgc_obs::span(sgc_obs::Stage::DpRecountReplay);
-                        let table = cached.steps[step][s].clone();
-                        shard_run.elapsed = solve_started.elapsed();
-                        return (table, shard_run, true);
-                    }
-                }
-                let table = match &index {
-                    Some(index) => {
-                        let ctx =
-                            Context::for_shard(graph, prep, coloring, num_ranks, plan.shard(s));
-                        match kernel {
-                            KernelKind::Scalar => {
-                                let _span = sgc_obs::span(sgc_obs::Stage::DpBlockScalar);
-                                solve_block_with_index(
-                                    &ctx,
-                                    tree,
-                                    &tree.blocks[step],
-                                    index,
-                                    algorithm,
-                                    &mut shard_run,
-                                )
-                            }
-                            KernelKind::Columnar => {
-                                let _span = sgc_obs::span(sgc_obs::Stage::DpBlockColumnar);
-                                let (mut arena, reused) = pool.checkout();
-                                let before = arena.capacity_bytes();
-                                let table = solve_block_columnar(
-                                    &ctx,
-                                    tree,
-                                    &tree.blocks[step],
-                                    index,
-                                    algorithm,
-                                    &mut arena,
-                                    &mut shard_run,
-                                );
-                                let after = arena.capacity_bytes();
-                                shard_run.kernel.record_checkout(
-                                    after as u64,
-                                    reused,
-                                    after.saturating_sub(before) as u64,
-                                );
-                                pool.give_back(arena);
-                                table
-                            }
-                        }
-                    }
-                    // Single-node query: the shard's owned-vertex count is
-                    // its scalar partial sum (edge deltas never change it).
-                    None => ProjectionTable::Scalar(plan.shard(s).num_vertices() as Count),
-                };
-                shard_run.elapsed = solve_started.elapsed();
-                (table, shard_run, false)
-            });
-
-        let mut round_tables = Vec::with_capacity(num_shards);
-        let mut step_retained = Vec::with_capacity(num_shards);
-        for (s, (table, shard_run, replayed)) in partials.into_iter().enumerate() {
-            shard_metrics.ops_per_shard[s] += shard_run.total_ops;
-            metrics.absorb_shard(&shard_run);
-            if replayed {
-                shards_replayed += 1;
-            }
-            step_retained.push(table.clone());
-            round_tables.push(table);
-        }
-        retained.push(step_retained);
-
-        let table = {
-            let _span = obs.then(|| sgc_obs::span(sgc_obs::Stage::Exchange));
-            exchange::combine(round_tables, &mut shard_metrics)
-        };
-        if tree.root.is_some() {
-            metrics.observe_table(table.len());
-            tables[tree.blocks[step].id] = Some(table);
-        } else {
-            single_total = Some(table.total());
-        }
+    if let Some((dirty, cached)) = replay {
+        assert_eq!(
+            cached.num_shards, num_shards,
+            "cached partials were produced with a different shard count"
+        );
+        assert_eq!(
+            cached.num_steps(),
+            tree.blocks.len().max(1),
+            "cached partials were produced with a different plan"
+        );
+        assert_eq!(dirty.len(), num_shards, "one dirty flag per shard");
     }
-
-    let colorful_matches = match tree.root {
-        Some(root) => tables[root]
-            .as_ref()
-            .expect("root table was computed in its block step")
-            .total(),
-        None => single_total.expect("single-node totals resolve in step 0"),
+    let job = Job {
+        retain: true,
+        replay,
+        ..Job::new(coloring, tree, algorithm, kernel, sgc_obs::enabled())
     };
-    metrics.shards = Some(shard_metrics);
-    metrics.elapsed = started.elapsed();
+    let outcome = execute(graph, prep, std::slice::from_ref(&job), num_shards, pool)?.single();
     Ok(IncrementalOutcome {
-        colorful_matches,
-        partials: TrialPartials {
-            num_shards,
-            steps: retained,
-        },
-        metrics,
-        shards_replayed,
+        colorful_matches: outcome.result.colorful_matches,
+        partials: outcome.partials.expect("the job retains its partials"),
+        metrics: outcome.result.metrics,
+        shards_replayed: outcome.shards_replayed,
     })
 }
 
@@ -417,7 +256,7 @@ mod tests {
                 let old_prep = GraphPrep::new(&old);
                 let new_prep = GraphPrep::new(&new);
 
-                let retained = count_sharded_retaining(
+                let retained = count_incremental(
                     &old,
                     &old_prep,
                     &coloring,
@@ -426,9 +265,10 @@ mod tests {
                     num_shards,
                     KernelKind::Columnar,
                     &pool,
+                    None,
                 )
                 .unwrap();
-                let scratch_new = count_sharded_retaining(
+                let scratch_new = count_incremental(
                     &new,
                     &new_prep,
                     &coloring,
@@ -437,12 +277,13 @@ mod tests {
                     num_shards,
                     KernelKind::Columnar,
                     &pool,
+                    None,
                 )
                 .unwrap();
 
                 let dirty =
                     dirty_shards(&old, &new, &[delta_edge], query.num_nodes(), num_shards).unwrap();
-                let replayed = recount_sharded_replay(
+                let replayed = count_incremental(
                     &new,
                     &new_prep,
                     &coloring,
@@ -451,8 +292,7 @@ mod tests {
                     num_shards,
                     KernelKind::Columnar,
                     &pool,
-                    &dirty,
-                    &retained.partials,
+                    Some((&dirty, &retained.partials)),
                 )
                 .unwrap();
                 assert_eq!(
@@ -517,7 +357,7 @@ mod tests {
         let tree = heuristic_plan(&query).unwrap();
         let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 5);
         let pool = ArenaPool::new();
-        let outcome = count_sharded_retaining(
+        let outcome = count_incremental(
             &graph,
             &prep,
             &coloring,
@@ -526,6 +366,7 @@ mod tests {
             2,
             KernelKind::Scalar,
             &pool,
+            None,
         )
         .unwrap();
         assert_eq!(outcome.partials.num_shards(), 2);

@@ -5,8 +5,8 @@ use crate::store::{PartialKey, PartialStore};
 use crate::version::{DynError, VersionId, VersionedGraph};
 use sgc_core::kernel::ArenaPool;
 use sgc_core::{
-    count_sharded_retaining, dirty_shards, estimator::summarize_trials, recount_sharded_replay,
-    Algorithm, Estimate, KernelKind, SgcError,
+    count_incremental, dirty_shards, estimator::summarize_trials, Algorithm, Estimate, KernelKind,
+    SgcError,
 };
 use sgc_engine::Count;
 use sgc_graph::Coloring;
@@ -106,20 +106,9 @@ pub fn run_trials(
             (None, Some(p)) => store.get(&key_for(p, trial)),
             _ => None,
         };
-        let run = if let Some(cached) = &cached_here {
+        let replay = if let Some(cached) = &cached_here {
             outcome.trials_from_store += 1;
-            recount_sharded_replay(
-                &data.graph,
-                &data.prep,
-                &coloring,
-                spec.tree,
-                spec.algorithm,
-                spec.num_shards,
-                spec.kernel,
-                pool,
-                &all_clean,
-                cached,
-            )?
+            Some((all_clean.as_slice(), cached.as_ref()))
         } else if let Some(cached) = &cached_parent {
             if dirty.is_none() {
                 let parent = parent.expect("parent hit implies a parent");
@@ -136,33 +125,23 @@ pub fn run_trials(
                     spec.num_shards,
                 )?);
             }
-            let dirty = dirty.as_deref().expect("just computed");
             outcome.trials_incremental += 1;
-            recount_sharded_replay(
-                &data.graph,
-                &data.prep,
-                &coloring,
-                spec.tree,
-                spec.algorithm,
-                spec.num_shards,
-                spec.kernel,
-                pool,
-                dirty,
-                cached,
-            )?
+            Some((dirty.as_deref().expect("just computed"), cached.as_ref()))
         } else {
             outcome.trials_scratch += 1;
-            count_sharded_retaining(
-                &data.graph,
-                &data.prep,
-                &coloring,
-                spec.tree,
-                spec.algorithm,
-                spec.num_shards,
-                spec.kernel,
-                pool,
-            )?
+            None
         };
+        let run = count_incremental(
+            &data.graph,
+            &data.prep,
+            &coloring,
+            spec.tree,
+            spec.algorithm,
+            spec.num_shards,
+            spec.kernel,
+            pool,
+            replay,
+        )?;
         let solves = spec.tree.blocks.len().max(1) * spec.num_shards;
         outcome.shards_replayed += run.shards_replayed;
         outcome.shards_computed += solves - run.shards_replayed;

@@ -172,7 +172,7 @@ mod tests {
     use super::*;
     use sgc_core::context::GraphPrep;
     use sgc_core::kernel::ArenaPool;
-    use sgc_core::{count_sharded_retaining, KernelKind};
+    use sgc_core::{count_incremental, KernelKind};
     use sgc_graph::{Coloring, GraphBuilder};
     use sgc_query::{canonical_key, catalog, heuristic_plan};
 
@@ -186,7 +186,7 @@ mod tests {
         let query = catalog::path(3);
         let tree = heuristic_plan(&query).unwrap();
         let coloring = Coloring::random(12, 3, seed);
-        let outcome = count_sharded_retaining(
+        let outcome = count_incremental(
             &g,
             &prep,
             &coloring,
@@ -195,6 +195,7 @@ mod tests {
             2,
             KernelKind::Scalar,
             &ArenaPool::new(),
+            None,
         )
         .unwrap();
         Arc::new(outcome.partials)

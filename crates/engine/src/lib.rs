@@ -1,4 +1,4 @@
-//! # sgc-engine — tables, joins and the simulated distributed engine
+//! # sgc-engine — tables, joins and the shared-memory engine
 //!
 //! The paper's "engine" layer (Section 7) stores the data graph and the
 //! projection tables in a distributed fashion and exposes join routines to
@@ -15,21 +15,16 @@
 //! * [`columnar`] — the same logical tables as structure-of-arrays column
 //!   buffers with an open-addressing row index, built for arena reuse (the
 //!   storage layer of `sgc-core`'s columnar kernel),
-//! * [`load`] — per-rank load accounting over a
-//!   [`sgc_graph::BlockPartition`], reproducing the paper's
-//!   "number of projection function operations per processor" metric,
 //! * [`parallel`] — small rayon helpers (chunked map-reduce over table
 //!   entries, scoped thread pools for the scaling experiments).
 
 pub mod columnar;
 pub mod hash;
-pub mod load;
 pub mod parallel;
 pub mod signature;
 pub mod table;
 
 pub use columnar::{ColumnarTable, EndpointGroups};
 pub use hash::FastMap;
-pub use load::LoadStats;
 pub use signature::{Color, Signature};
 pub use table::{BinaryTable, Count, PathKey, PathTable, ProjectionTable, UnaryTable};

@@ -1,48 +1,47 @@
-//! Simulated 1D block distribution of vertices over processor ranks.
+//! 1D block distribution of vertices over processors.
 //!
 //! The paper's engine distributes the data graph with a "1D decomposition,
 //! wherein the vertices are equally distributed among the processors using
 //! block distribution, and each vertex is owned by some processor"
 //! (Section 7). Projection-table entries with key `(u, v, α)` are stored at
 //! the owner of `v`, and load imbalance is measured as the number of
-//! projection operations performed per rank (Figure 11).
+//! projection operations performed per processor (Figure 11).
 //!
-//! In this reproduction the ranks are *simulated*: the engine executes on a
-//! shared-memory machine (rayon), but work is still attributed to the rank
-//! that would own it in the distributed setting so that the paper's load
-//! metrics can be reproduced exactly.
+//! In this reproduction the processors are the vertex shards of
+//! `sgc-core`'s execution loop: each shard owns one block of this
+//! partition and runs its share of every block solve on a worker thread.
 
 use crate::vertex::VertexId;
 
 /// A block (contiguous-range) partition of `num_vertices` vertices into
-/// `num_ranks` equally sized parts.
+/// `num_parts` equally sized parts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockPartition {
     num_vertices: usize,
-    num_ranks: usize,
-    /// ceil(num_vertices / num_ranks); rank of v is v / block_size.
+    num_parts: usize,
+    /// ceil(num_vertices / num_parts); the owner of v is v / block_size.
     block_size: usize,
 }
 
 impl BlockPartition {
-    /// Creates a partition of `num_vertices` vertices into `num_ranks` blocks.
+    /// Creates a partition of `num_vertices` vertices into `num_parts` blocks.
     ///
     /// # Panics
-    /// Panics if `num_ranks` is zero.
-    pub fn new(num_vertices: usize, num_ranks: usize) -> Self {
-        assert!(num_ranks > 0, "at least one rank required");
-        let block_size = num_vertices.div_ceil(num_ranks).max(1);
+    /// Panics if `num_parts` is zero.
+    pub fn new(num_vertices: usize, num_parts: usize) -> Self {
+        assert!(num_parts > 0, "at least one part required");
+        let block_size = num_vertices.div_ceil(num_parts).max(1);
         BlockPartition {
             num_vertices,
-            num_ranks,
+            num_parts,
             block_size,
         }
     }
 
-    /// Number of ranks (processors).
+    /// Number of parts (processors).
     #[inline]
-    pub fn num_ranks(&self) -> usize {
-        self.num_ranks
+    pub fn num_parts(&self) -> usize {
+        self.num_parts
     }
 
     /// Number of vertices being partitioned.
@@ -51,22 +50,22 @@ impl BlockPartition {
         self.num_vertices
     }
 
-    /// The rank owning vertex `v`.
+    /// The part owning vertex `v`.
     #[inline]
     pub fn owner(&self, v: VertexId) -> usize {
-        ((v as usize) / self.block_size).min(self.num_ranks - 1)
+        ((v as usize) / self.block_size).min(self.num_parts - 1)
     }
 
-    /// The contiguous vertex range owned by `rank`.
-    pub fn owned_range(&self, rank: usize) -> std::ops::Range<VertexId> {
-        let start = (rank * self.block_size).min(self.num_vertices);
-        let end = ((rank + 1) * self.block_size).min(self.num_vertices);
+    /// The contiguous vertex range owned by `part`.
+    pub fn owned_range(&self, part: usize) -> std::ops::Range<VertexId> {
+        let start = (part * self.block_size).min(self.num_vertices);
+        let end = ((part + 1) * self.block_size).min(self.num_vertices);
         start as VertexId..end as VertexId
     }
 
-    /// Number of vertices owned by `rank`.
-    pub fn owned_count(&self, rank: usize) -> usize {
-        let r = self.owned_range(rank);
+    /// Number of vertices owned by `part`.
+    pub fn owned_count(&self, part: usize) -> usize {
+        let r = self.owned_range(part);
         (r.end - r.start) as usize
     }
 }
@@ -78,7 +77,7 @@ mod tests {
     #[test]
     fn every_vertex_has_exactly_one_owner() {
         let p = BlockPartition::new(103, 8);
-        let mut counts = vec![0usize; p.num_ranks()];
+        let mut counts = vec![0usize; p.num_parts()];
         for v in 0..103u32 {
             counts[p.owner(v)] += 1;
         }

@@ -45,9 +45,10 @@
 //! assert_eq!(report.candidates.len(), 2); // the two Section 6 plans
 //! ```
 //!
-//! The pre-0.2 free functions (`count_colorful`, `estimate_count`, …) are
-//! still re-exported as deprecated shims that bind a throwaway engine per
-//! call; migrate to [`Engine`] to stop paying the preprocessing per call.
+//! Every count, serial or sharded, solo or batched, fixed or versioned,
+//! runs through one execution loop in `sgc-core`: a serial count is a
+//! one-shard run. The pre-0.2 free functions (`count_colorful`,
+//! `estimate_count`, …) have been removed; use [`Engine`].
 
 pub use sgc_core as core;
 /// Versioned graph snapshots and delta-aware incremental recount

@@ -10,10 +10,11 @@
 //! the shared preprocessing.
 
 use subgraph_counting::core::brute::count_colorful_matches;
-use subgraph_counting::core::{Algorithm, Engine};
+use subgraph_counting::core::kernel::ArenaPool;
+use subgraph_counting::core::{count_incremental, Algorithm, Engine, KernelKind};
 use subgraph_counting::gen::{erdos_renyi::gnp, small};
 use subgraph_counting::graph::{Coloring, CsrGraph};
-use subgraph_counting::query::{catalog, enumerate_plans, QueryGraph};
+use subgraph_counting::query::{catalog, enumerate_plans, QueryGraph, Registry};
 
 const ALGORITHMS: [Algorithm; 2] = [Algorithm::PathSplitting, Algorithm::DegreeBased];
 
@@ -31,7 +32,7 @@ fn check_query_on_engine(
             let got = engine
                 .count(query)
                 .algorithm(algorithm)
-                .ranks(8)
+                .sharded(8)
                 .coloring(&coloring)
                 .run()
                 .unwrap()
@@ -114,7 +115,7 @@ fn every_plan_of_a_query_gives_the_same_count() {
                 let got = engine
                     .count(&query)
                     .algorithm(algorithm)
-                    .ranks(8)
+                    .sharded(8)
                     .plan(plan)
                     .coloring(&coloring)
                     .run()
@@ -149,7 +150,7 @@ fn tree_queries_agree_with_treelet_dp_and_brute_force() {
                 let got = engine
                     .count(&query)
                     .algorithm(algorithm)
-                    .ranks(8)
+                    .sharded(8)
                     .coloring(&coloring)
                     .run()
                     .unwrap()
@@ -162,6 +163,7 @@ fn tree_queries_agree_with_treelet_dp_and_brute_force() {
 
 #[test]
 fn counts_are_independent_of_rank_count() {
+    // The paper's ranks are this runtime's vertex shards.
     let graph = gnp(18, 0.3, 11);
     let engine = Engine::new(&graph);
     let query = catalog::brain2();
@@ -169,21 +171,70 @@ fn counts_are_independent_of_rank_count() {
     let reference = engine
         .count(&query)
         .algorithm(Algorithm::DegreeBased)
-        .ranks(1)
+        .sharded(1)
         .coloring(&coloring)
         .run()
         .unwrap()
         .colorful_matches;
-    for ranks in [2, 7, 64, 512] {
+    for shards in [2, 7, 64, 512] {
         let got = engine
             .count(&query)
             .algorithm(Algorithm::DegreeBased)
-            .ranks(ranks)
+            .sharded(shards)
             .coloring(&coloring)
             .run()
             .unwrap()
             .colorful_matches;
-        assert_eq!(got, reference, "ranks = {ranks}");
+        assert_eq!(got, reference, "shards = {shards}");
+    }
+}
+
+#[test]
+fn serial_counts_are_one_shard_counts_across_the_registry() {
+    // Serial is one shard: the plain run, an explicit `.sharded(1)` and a
+    // one-shard count that retains its partials are the same execution.
+    let graph = gnp(40, 0.15, 12);
+    let engine = Engine::new(&graph);
+    let pool = ArenaPool::new();
+    let registry = Registry::builtin();
+    for name in registry.names() {
+        let query = registry.build(name).unwrap();
+        let plan = engine.plan(&query).unwrap();
+        let coloring = Coloring::random(graph.num_vertices(), query.num_nodes(), 31);
+        for algorithm in ALGORITHMS {
+            let request = || {
+                engine
+                    .count(&query)
+                    .algorithm(algorithm)
+                    .coloring(&coloring)
+            };
+            let serial = request().run().unwrap();
+            let one_shard = request().sharded(1).run().unwrap();
+            let retaining = count_incremental(
+                &graph,
+                engine.prep(),
+                &coloring,
+                &plan,
+                algorithm,
+                1,
+                KernelKind::default(),
+                &pool,
+                None,
+            )
+            .unwrap();
+            for (label, count, metrics) in [
+                ("sharded(1)", one_shard.colorful_matches, &one_shard.metrics),
+                ("retaining", retaining.colorful_matches, &retaining.metrics),
+            ] {
+                let at = format!("{name} with {algorithm}: {label}");
+                assert_eq!(count, serial.colorful_matches, "{at}");
+                assert_eq!(metrics.total_ops, serial.metrics.total_ops, "{at}");
+                assert_eq!(
+                    metrics.peak_table_entries, serial.metrics.peak_table_entries,
+                    "{at}"
+                );
+            }
+        }
     }
 }
 
@@ -198,7 +249,7 @@ fn empty_and_sparse_graphs_count_zero_for_cyclic_queries() {
             let got = engine
                 .count(&query)
                 .algorithm(algorithm)
-                .ranks(8)
+                .sharded(8)
                 .coloring(&coloring)
                 .run()
                 .unwrap()

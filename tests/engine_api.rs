@@ -7,7 +7,7 @@ use subgraph_counting::core::context::prep_build_count;
 use subgraph_counting::gen::erdos_renyi::gnp;
 use subgraph_counting::graph::Coloring;
 use subgraph_counting::query::{catalog, QueryError, QueryGraph};
-use subgraph_counting::{Algorithm, CountConfig, Engine, SgcError};
+use subgraph_counting::{Algorithm, Engine, SgcError};
 
 #[test]
 fn mismatched_coloring_size_is_a_typed_error() {
@@ -73,25 +73,6 @@ fn zero_trials_is_a_typed_error() {
 }
 
 #[test]
-fn zero_ranks_is_a_typed_error_for_run_and_estimate() {
-    let graph = gnp(12, 0.3, 4);
-    let engine = Engine::new(&graph);
-    let query = catalog::triangle();
-    assert_eq!(
-        engine.count(&query).ranks(0).run().unwrap_err(),
-        SgcError::ZeroRanks
-    );
-    assert_eq!(
-        engine
-            .count(&query)
-            .config(CountConfig::default().with_ranks(0))
-            .estimate()
-            .unwrap_err(),
-        SgcError::ZeroRanks
-    );
-}
-
-#[test]
 fn treewidth_exceeding_queries_are_rejected_not_panicked_on() {
     let graph = gnp(12, 0.4, 5);
     let engine = Engine::new(&graph);
@@ -108,27 +89,6 @@ fn treewidth_exceeding_queries_are_rejected_not_panicked_on() {
     assert_eq!(err, SgcError::Query(QueryError::TreewidthExceeded));
     // The error chains back to the query layer.
     assert!(std::error::Error::source(&err).is_some());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_facade_shims_return_errors_instead_of_panicking() {
-    use subgraph_counting::{count_colorful, estimate_count};
-    let graph = gnp(10, 0.3, 6);
-    let query = catalog::triangle();
-    let short = Coloring::random(4, 3, 0);
-    assert!(matches!(
-        count_colorful(&graph, &short, &query, &CountConfig::default()),
-        Err(SgcError::ColoringSizeMismatch { .. })
-    ));
-    let config = subgraph_counting::EstimateConfig {
-        trials: 0,
-        ..Default::default()
-    };
-    assert!(matches!(
-        estimate_count(&graph, &query, &config),
-        Err(SgcError::ZeroTrials)
-    ));
 }
 
 #[test]

@@ -81,15 +81,10 @@ fn sharded_counts_are_bit_identical_to_serial_on_all_catalog_queries() {
                 let metrics = sharded.metrics.shards.expect("sharded metrics present");
                 assert_eq!(metrics.num_shards(), shards);
                 assert!(metrics.exchange_rounds > 0);
-                // The simulated-rank load attribution is shard-independent:
-                // the same operations happen, just on different workers.
+                // The operation count is shard-independent: the same
+                // operations happen, just on different workers.
                 assert_eq!(
                     sharded.metrics.total_ops, serial.metrics.total_ops,
-                    "{name} with {algorithm} at {shards} shards"
-                );
-                assert_eq!(
-                    sharded.metrics.load.per_rank(),
-                    serial.metrics.load.per_rank(),
                     "{name} with {algorithm} at {shards} shards"
                 );
             }
